@@ -16,6 +16,10 @@ import "sync"
 type BatchPool[T any] struct {
 	size int
 	pool sync.Pool
+	// holders recycles the *[]T boxes pool stores batches in: Get empties
+	// its box into holders and Put refills one from it, so a Get/Put
+	// cycle allocates nothing (a fresh &b per Put would escape to heap).
+	holders sync.Pool
 }
 
 // NewBatchPool creates a pool of batches with the given capacity
@@ -36,7 +40,11 @@ func NewBatchPool[T any](size int) *BatchPool[T] {
 // Get returns a zero-length batch with at least the pool's configured
 // capacity.
 func (bp *BatchPool[T]) Get() []T {
-	return (*bp.pool.Get().(*[]T))[:0]
+	h := bp.pool.Get().(*[]T)
+	b := (*h)[:0]
+	*h = nil
+	bp.holders.Put(h)
+	return b
 }
 
 // Put recycles a batch obtained from Get, clearing element references.
@@ -49,8 +57,12 @@ func (bp *BatchPool[T]) Put(b []T) {
 	for i := range b {
 		b[i] = zero
 	}
-	b = b[:0]
-	bp.pool.Put(&b)
+	h, _ := bp.holders.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = b[:0]
+	bp.pool.Put(h)
 }
 
 // Size returns the configured elements-per-batch capacity.

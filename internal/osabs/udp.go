@@ -79,12 +79,14 @@ func (c UDPConfig) withDefaults() UDPConfig {
 // udpSocket is the backend seam between the portable and mmsg paths.
 // recvInto reads up to len(lens) datagrams into slab regions
 // slab[i*fs:(i+1)*fs], recording each length in lens[i]; it returns the
-// datagram count, the syscalls spent, and the kernel-reported socket
-// drop delta (SO_RXQ_OVFL; 0 where unsupported). It must not block
-// beyond a short bounded poll. sendBatch transmits frames in order,
-// returning how many the kernel accepted and the syscalls spent.
+// datagram count, the syscalls that returned at least one datagram, the
+// syscalls that returned none (a would-block or a timed-out read), and
+// the kernel-reported socket drop delta (SO_RXQ_OVFL; 0 where
+// unsupported). It must not block beyond a short bounded poll.
+// sendBatch transmits frames in order, returning how many the kernel
+// accepted and the syscalls spent.
 type udpSocket interface {
-	recvInto(slab []byte, fs int, lens []int) (n, syscalls int, kdrops uint64, err error)
+	recvInto(slab []byte, fs int, lens []int) (n, syscalls, empty int, kdrops uint64, err error)
 	sendBatch(frames [][]byte) (sent, syscalls int, err error)
 	localAddr() string
 	close() error
@@ -197,7 +199,7 @@ func (d *UDPDevice) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buf
 		return dst, nil, fmt.Errorf("osabs: udp %q arena: %w", d.name, err)
 	}
 	lens := d.lens[:max]
-	n, syscalls, kdrops, err := d.sock.recvInto(slab.Bytes(), d.fs, lens)
+	n, syscalls, empty, kdrops, err := d.sock.recvInto(slab.Bytes(), d.fs, lens)
 	if kdrops > 0 {
 		d.sockDrops.Add(kdrops)
 	}
@@ -208,9 +210,11 @@ func (d *UDPDevice) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buf
 		}
 		return dst, nil, fmt.Errorf("osabs: udp %q recv: %w", d.name, err)
 	}
+	if empty > 0 {
+		d.rxEmpty.Add(uint64(empty))
+	}
 	if n == 0 {
 		_ = slab.Release()
-		d.rxEmpty.Add(uint64(syscalls))
 		return dst, nil, nil
 	}
 	raw := slab.Bytes()

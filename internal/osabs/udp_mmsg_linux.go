@@ -128,11 +128,11 @@ func (s *mmsgSocket) growRecv(n int) {
 	s.riovs = s.riovs[:n]
 }
 
-func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64, error) {
+func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, int, uint64, error) {
 	s.opMu.RLock()
 	defer s.opMu.RUnlock()
 	if s.closed {
-		return 0, 0, 0, ErrClosed
+		return 0, 0, 0, 0, ErrClosed
 	}
 	n := len(lens)
 	s.growRecv(n)
@@ -155,12 +155,12 @@ func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64
 	runtime.KeepAlive(slab)
 	if errno != 0 {
 		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK || errno == syscall.EINTR {
-			return 0, 1, 0, nil
+			return 0, 0, 1, 0, nil
 		}
 		if errno == syscall.EBADF {
-			return 0, 1, 0, ErrClosed
+			return 0, 0, 1, 0, ErrClosed
 		}
-		return 0, 1, 0, errno
+		return 0, 0, 1, 0, errno
 	}
 	got := int(r)
 	var kdrops uint64
@@ -176,7 +176,7 @@ func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64
 			s.lastOvfl, s.ovflSeen = d, true
 		}
 	}
-	return got, 1, kdrops, nil
+	return got, 1, 0, kdrops, nil
 }
 
 // parseOvfl extracts the SO_RXQ_OVFL uint32 from message i's ancillary

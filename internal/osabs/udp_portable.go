@@ -55,19 +55,21 @@ func newPortableSocket(cfg UDPConfig) (*portableSocket, error) {
 	return s, nil
 }
 
-func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64, error) {
+func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, int, uint64, error) {
 	n := 0
 	// The first read of a poll may park briefly; once a datagram has
 	// arrived, drain whatever else is queued with a near-immediate
 	// deadline so batch fill reflects actual queue depth, not waiting.
+	// Every read that returned a datagram is a productive syscall; the
+	// read that ends the poll without one is an empty poll.
 	_ = s.conn.SetReadDeadline(time.Now().Add(portablePollWait))
 	for n < len(lens) {
 		m, _, err := s.conn.ReadFromUDP(slab[n*fs : (n+1)*fs])
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return n, n + 1, 0, nil
+				err = nil
 			}
-			return n, n + 1, 0, err
+			return n, n, 1, 0, err
 		}
 		lens[n] = m
 		n++
@@ -75,7 +77,7 @@ func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, ui
 			_ = s.conn.SetReadDeadline(time.Now().Add(portableDrainWait))
 		}
 	}
-	return n, n, 0, nil
+	return n, n, 0, 0, nil
 }
 
 func (s *portableSocket) sendBatch(frames [][]byte) (int, int, error) {

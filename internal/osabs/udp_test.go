@@ -110,6 +110,47 @@ func TestUDPDeviceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUDPPortableDrainTimeoutAccounting pins the rx_syscalls contract
+// ("syscalls that returned >=1 frame") on the portable backend, whose
+// polls end with a read that times out: that read is an empty poll, not a
+// productive syscall. Every poll here returns fewer frames than the
+// batch, so each one ends in exactly one timed-out read, whatever the
+// arrival timing.
+func TestUDPPortableDrainTimeoutAccounting(t *testing.T) {
+	tx, rx := udpPair(t, true, true, 8)
+	const frames = 3
+	batch := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	if n, err := tx.SendBatch(batch); err != nil || n != frames {
+		t.Fatalf("send: %d, %v", n, err)
+	}
+	got, polls := 0, 0
+	for stop := time.Now().Add(5 * time.Second); got < frames && time.Now().Before(stop); {
+		before := rx.Stats()
+		fs, slab, err := rx.RecvBatchInto(nil, rx.Batch())
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		for range fs {
+			if err := slab.Release(); err != nil {
+				t.Fatalf("slab release: %v", err)
+			}
+		}
+		after := rx.Stats()
+		if d := after.RxSyscalls - before.RxSyscalls; d != uint64(len(fs)) {
+			t.Fatalf("poll %d: %d frames counted %d productive syscalls", polls, len(fs), d)
+		}
+		if d := after.RxEmptyPolls - before.RxEmptyPolls; d != 1 {
+			t.Fatalf("poll %d: %d frames counted %d empty polls, want 1", polls, len(fs), d)
+		}
+		got += len(fs)
+		polls++
+	}
+	st := rx.Stats()
+	if st.RxFrames != frames || st.RxSyscalls != frames || st.RxEmptyPolls != uint64(polls) {
+		t.Fatalf("stats %+v after %d polls, want %d frames in %d productive syscalls", st, polls, frames, frames)
+	}
+}
+
 func TestUDPSendBatchAmortizesSyscalls(t *testing.T) {
 	if !mmsgSupported {
 		t.Skip("batched syscall backend not compiled on this platform")

@@ -164,11 +164,11 @@ func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch 
 	return err
 }
 
-// forwardRuns is the shared drop-or-forward scan of the batched header
-// processors and the shaper: packets rejected by keep are dropped (counted
-// and released), and maximal surviving runs — sub-slices of batch, so no
-// copying — are forwarded. keep may mutate the packet (TTL decrement) and
-// is responsible for its own specialised drop counters.
+// forwardRuns is the drop-or-forward scan of a stepProc stage's batch
+// path: packets rejected by keep are dropped (counted and released), and
+// maximal surviving runs — sub-slices of batch, so no copying — are
+// forwarded. keep may mutate the packet (TTL decrement) and is
+// responsible for its own specialised drop counters.
 func (e *elementCounters) forwardRuns(out *core.Receptacle[IPacketPush], batch []*Packet, keep func(*Packet) bool) error {
 	var agg batchErrAgg
 	run := 0

@@ -93,42 +93,105 @@ func (e *elementCounters) forward(out *core.Receptacle[IPacketPush], p *Packet) 
 }
 
 // ---------------------------------------------------------------------------
+// stage
+
+// stage is the shared body of the single-input elements whose behaviour
+// is a per-packet step: Counter, Dropper, IPv4Proc, IPv6Proc,
+// ChecksumValidator and TokenShaper. The step is the one definition of
+// the element's packet semantics; Push, PushBatch and the fused runner
+// (fuseStep) all derive from it, so the three paths cannot drift apart.
+type stage struct {
+	*core.Base
+	elementCounters
+	out  *core.Receptacle[IPacketPush] // nil for a terminal stage
+	step fuseStep
+}
+
+// init names the stage, adds its "out" receptacle unless the step is
+// terminal (stepDrop), and provides IPacketPush as self — the embedding
+// element, so bindings hand out the element itself.
+func (s *stage) init(typ string, self IPacketPush, step fuseStep) {
+	s.Base = core.NewBase(typ)
+	if step.kind != stepDrop {
+		s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
+		s.AddReceptacle("out", s.out)
+	}
+	step.counters, step.out = &s.elementCounters, s.out
+	s.step = step
+	s.Provide(IPacketPushID, self)
+}
+
+// Push implements IPacketPush.
+func (s *stage) Push(p *Packet) error {
+	s.in.Add(1)
+	switch s.step.kind {
+	case stepCount:
+		s.step.flush(int64(len(p.Data)))
+	case stepDrop:
+		s.dropped.Add(1)
+		p.Release()
+		return nil
+	case stepProc:
+		if !s.step.proc(p) {
+			s.dropped.Add(1)
+			p.Release()
+			return nil
+		}
+	}
+	return s.forward(s.out, p)
+}
+
+// PushBatch implements IPacketPushBatch. A byte meter updates its total
+// once per batch and forwards the batch whole; a processing step does its
+// per-packet work in place and forwards the surviving runs as sub-batches,
+// so the downstream hand-off is paid once per run (once per batch when
+// nothing drops, the common case).
+func (s *stage) PushBatch(batch []*Packet) error {
+	s.in.Add(uint64(len(batch)))
+	switch s.step.kind {
+	case stepCount:
+		var bytes int64
+		for _, p := range batch {
+			bytes += int64(len(p.Data))
+		}
+		s.step.flush(bytes)
+	case stepDrop:
+		s.dropped.Add(uint64(len(batch)))
+		for _, p := range batch {
+			p.Release()
+		}
+		return nil
+	case stepProc:
+		return s.forwardRuns(s.out, batch, s.step.proc)
+	}
+	return s.forwardBatch(s.out, batch)
+}
+
+// fuseStep implements chainFusible: the stage contributes its step as is.
+func (s *stage) fuseStep() fuseStep { return s.step }
+
+var (
+	_ IPacketPushBatch = (*stage)(nil)
+	_ chainFusible     = (*stage)(nil)
+)
+
+// ---------------------------------------------------------------------------
 // Counter
 
 // Counter counts packets and bytes and forwards them unchanged.
 type Counter struct {
-	*core.Base
-	elementCounters
+	stage
 	bytes atomic.Uint64
-	out   *core.Receptacle[IPacketPush]
 }
 
 // NewCounter returns a counting pass-through element.
 func NewCounter() *Counter {
-	c := &Counter{Base: core.NewBase(TypeCounter)}
-	c.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	c.AddReceptacle("out", c.out)
-	c.Provide(IPacketPushID, c)
+	c := &Counter{}
+	c.init(TypeCounter, c, fuseStep{
+		kind:  stepCount,
+		flush: func(n int64) { c.bytes.Add(uint64(n)) },
+	})
 	return c
-}
-
-// Push implements IPacketPush.
-func (c *Counter) Push(p *Packet) error {
-	c.in.Add(1)
-	c.bytes.Add(uint64(len(p.Data)))
-	return c.forward(c.out, p)
-}
-
-// PushBatch implements IPacketPushBatch: counters are updated once per
-// batch and the batch is forwarded whole.
-func (c *Counter) PushBatch(batch []*Packet) error {
-	c.in.Add(uint64(len(batch)))
-	var bytes uint64
-	for _, p := range batch {
-		bytes += uint64(len(p.Data))
-	}
-	c.bytes.Add(bytes)
-	return c.forwardBatch(c.out, batch)
 }
 
 // Stats implements core.IStats, adding the byte count.
@@ -143,34 +206,13 @@ func (c *Counter) Bytes() uint64 { return c.bytes.Load() }
 // Dropper
 
 // Dropper absorbs every packet: the standard sink for unwanted traffic.
-type Dropper struct {
-	*core.Base
-	elementCounters
-}
+type Dropper struct{ stage }
 
 // NewDropper returns a packet sink.
 func NewDropper() *Dropper {
-	d := &Dropper{Base: core.NewBase(TypeDropper)}
-	d.Provide(IPacketPushID, d)
+	d := &Dropper{}
+	d.init(TypeDropper, d, fuseStep{kind: stepDrop})
 	return d
-}
-
-// Push implements IPacketPush.
-func (d *Dropper) Push(p *Packet) error {
-	d.in.Add(1)
-	d.dropped.Add(1)
-	p.Release()
-	return nil
-}
-
-// PushBatch implements IPacketPushBatch.
-func (d *Dropper) PushBatch(batch []*Packet) error {
-	d.in.Add(uint64(len(batch)))
-	d.dropped.Add(uint64(len(batch)))
-	for _, p := range batch {
-		p.Release()
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -230,11 +272,14 @@ func (t *Tee) Push(p *Packet) error {
 	}
 	var firstErr error
 	for i, tgt := range targets {
-		if err := tgt.Push(deliveries[i]); err != nil && firstErr == nil {
-			firstErr = err
-			t.errs.Add(1)
-		} else {
+		err := tgt.Push(deliveries[i])
+		if err == nil {
 			t.out.Add(1)
+			continue
+		}
+		t.errs.Add(1)
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -267,14 +312,7 @@ func NewProtoRecogn() *ProtoRecogn {
 // Push implements IPacketPush.
 func (r *ProtoRecogn) Push(p *Packet) error {
 	r.in.Add(1)
-	switch packet.Version(p.Data) {
-	case 4:
-		return r.forward(r.v4, p)
-	case 6:
-		return r.forward(r.v6, p)
-	default:
-		return r.forward(r.other, p)
-	}
+	return r.forward(r.output(p), p)
 }
 
 // output returns the receptacle serving p's IP version.
@@ -304,10 +342,7 @@ func (r *ProtoRecogn) PushBatch(batch []*Packet) error {
 // and TTL decrement (with RFC 1141 incremental checksum update). Expired
 // or malformed packets are dropped and counted.
 type IPv4Proc struct {
-	*core.Base
-	elementCounters
-	validate bool
-	out      *core.Receptacle[IPacketPush]
+	stage
 	ttlDrops atomic.Uint64
 	csDrops  atomic.Uint64
 }
@@ -315,52 +350,19 @@ type IPv4Proc struct {
 // NewIPv4Proc returns a header processor; validate enables checksum
 // verification before processing.
 func NewIPv4Proc(validate bool) *IPv4Proc {
-	h := &IPv4Proc{Base: core.NewBase(TypeIPv4Proc), validate: validate}
-	h.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	h.AddReceptacle("out", h.out)
-	h.Provide(IPacketPushID, h)
-	return h
-}
-
-// Push implements IPacketPush.
-func (h *IPv4Proc) Push(p *Packet) error {
-	h.in.Add(1)
-	if h.validate {
-		if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
+	h := &IPv4Proc{}
+	h.init(TypeIPv4Proc, h, fuseStep{proc: func(p *Packet) bool {
+		if validate && packet.ValidateIPv4Checksum(p.Data) != nil {
 			h.csDrops.Add(1)
-			h.dropped.Add(1)
-			p.Release()
-			return nil
+			return false
 		}
-	}
-	if err := packet.DecrementTTL(p.Data); err != nil {
-		h.ttlDrops.Add(1)
-		h.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return h.forward(h.out, p)
-}
-
-// PushBatch implements IPacketPushBatch: per-packet header work is done in
-// place and surviving runs are forwarded as sub-batches, so the downstream
-// hand-off cost is paid once per run (once per batch when nothing drops,
-// the common case).
-func (h *IPv4Proc) PushBatch(batch []*Packet) error {
-	h.in.Add(uint64(len(batch)))
-	return h.forwardRuns(h.out, batch, func(p *Packet) bool {
-		if h.validate {
-			if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
-				h.csDrops.Add(1)
-				return false
-			}
-		}
-		if err := packet.DecrementTTL(p.Data); err != nil {
+		if packet.DecrementTTL(p.Data) != nil {
 			h.ttlDrops.Add(1)
 			return false
 		}
 		return true
-	})
+	}})
+	return h
 }
 
 // Stats implements core.IStats, adding the specialised drop causes.
@@ -381,43 +383,21 @@ func (h *IPv4Proc) ChecksumDrops() uint64 { return h.csDrops.Load() }
 
 // IPv6Proc decrements the hop limit, dropping expired packets.
 type IPv6Proc struct {
-	*core.Base
-	elementCounters
-	out      *core.Receptacle[IPacketPush]
+	stage
 	hopDrops atomic.Uint64
 }
 
 // NewIPv6Proc returns an IPv6 per-hop processor.
 func NewIPv6Proc() *IPv6Proc {
-	h := &IPv6Proc{Base: core.NewBase(TypeIPv6Proc)}
-	h.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	h.AddReceptacle("out", h.out)
-	h.Provide(IPacketPushID, h)
-	return h
-}
-
-// Push implements IPacketPush.
-func (h *IPv6Proc) Push(p *Packet) error {
-	h.in.Add(1)
-	if err := packet.DecrementHopLimit(p.Data); err != nil {
-		h.hopDrops.Add(1)
-		h.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return h.forward(h.out, p)
-}
-
-// PushBatch implements IPacketPushBatch (see IPv4Proc.PushBatch).
-func (h *IPv6Proc) PushBatch(batch []*Packet) error {
-	h.in.Add(uint64(len(batch)))
-	return h.forwardRuns(h.out, batch, func(p *Packet) bool {
-		if err := packet.DecrementHopLimit(p.Data); err != nil {
+	h := &IPv6Proc{}
+	h.init(TypeIPv6Proc, h, fuseStep{proc: func(p *Packet) bool {
+		if packet.DecrementHopLimit(p.Data) != nil {
 			h.hopDrops.Add(1)
 			return false
 		}
 		return true
-	})
+	}})
+	return h
 }
 
 // Stats implements core.IStats, adding the specialised drop cause.
@@ -433,40 +413,15 @@ func (h *IPv6Proc) HopDrops() uint64 { return h.hopDrops.Load() }
 
 // ChecksumValidator drops IPv4 packets with invalid header checksums and
 // forwards everything else untouched (IPv6 has no header checksum).
-type ChecksumValidator struct {
-	*core.Base
-	elementCounters
-	out *core.Receptacle[IPacketPush]
-}
+type ChecksumValidator struct{ stage }
 
 // NewChecksumValidator returns a validator element.
 func NewChecksumValidator() *ChecksumValidator {
-	v := &ChecksumValidator{Base: core.NewBase(TypeChecksumVal)}
-	v.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	v.AddReceptacle("out", v.out)
-	v.Provide(IPacketPushID, v)
-	return v
-}
-
-// Push implements IPacketPush.
-func (v *ChecksumValidator) Push(p *Packet) error {
-	v.in.Add(1)
-	if packet.Version(p.Data) == 4 {
-		if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
-			v.dropped.Add(1)
-			p.Release()
-			return nil
-		}
-	}
-	return v.forward(v.out, p)
-}
-
-// PushBatch implements IPacketPushBatch.
-func (v *ChecksumValidator) PushBatch(batch []*Packet) error {
-	v.in.Add(uint64(len(batch)))
-	return v.forwardRuns(v.out, batch, func(p *Packet) bool {
+	v := &ChecksumValidator{}
+	v.init(TypeChecksumVal, v, fuseStep{proc: func(p *Packet) bool {
 		return packet.Version(p.Data) != 4 || packet.ValidateIPv4Checksum(p.Data) == nil
-	})
+	}})
+	return v
 }
 
 // ---------------------------------------------------------------------------

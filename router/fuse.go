@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"netkit/core"
-	"netkit/packet"
 )
 
 // This file is the bind-time chain fusion engine (DESIGN.md §8): when the
@@ -49,21 +48,22 @@ const (
 	stepDrop
 )
 
-// fuseStep is one component's contribution to a fused chain: the hop's
-// per-packet work, decoupled from its forwarding.
+// fuseStep is one component's per-packet work, decoupled from its
+// forwarding. For a stage-based element it is the element's only
+// definition of its packet semantics: Push, PushBatch and the fused
+// runner all derive from it.
 type fuseStep struct {
 	// kind selects the runner strategy for this hop.
 	kind stepKind
 	// proc performs a stepProc hop's per-packet work (header mutation,
-	// conformance) and reports whether the packet survives. acc is
-	// accumulated in a runner-local and handed to flush once per batch.
-	// proc must maintain the hop's SPECIALISED counters (ttl_drops,
-	// cs_drops) itself; the shared in/out/dropped/errs block is replayed
-	// by the runner. nil for the other kinds.
-	proc func(p *Packet) (keep bool, acc int64)
-	// flush folds the accumulated acc into the hop once per batch (the
-	// Counter's byte total). nil when the hop accumulates nothing.
-	flush func(acc int64)
+	// conformance) and reports whether the packet survives. proc must
+	// maintain the hop's SPECIALISED counters (ttl_drops, cs_drops)
+	// itself; the shared in/out/dropped/errs block is accounted by the
+	// caller. nil for the other kinds.
+	proc func(p *Packet) bool
+	// flush folds a stepCount hop's byte total into its meter, once per
+	// batch. nil for the other kinds.
+	flush func(bytes int64)
 	// counters is the hop's element counter block; the runner reproduces
 	// exactly the accounting the hop-by-hop path would have written.
 	counters *elementCounters
@@ -74,13 +74,12 @@ type fuseStep struct {
 
 // chainFusible is the capability interface of the fusion planner,
 // discovered by type assertion like the batch capability. A component
-// returns its fuseStep, or ok=false when its current configuration cannot
-// be flattened. Components that buffer (queues), split (Tee, recognisers,
-// classifiers) or block are simply not fusible: the planner stops at them
-// and the fused prefix hands off to the remainder through the ordinary
-// receptacle crossing.
+// returns its fuseStep. Components that buffer (queues), split (Tee,
+// recognisers, classifiers) or block are simply not fusible: the planner
+// stops at them and the fused prefix hands off to the remainder through
+// the ordinary receptacle crossing.
 type chainFusible interface {
-	fuseStep() (fuseStep, bool)
+	fuseStep() fuseStep
 }
 
 // fusedPlan is one immutable compiled chain. gen pins the structural
@@ -270,10 +269,7 @@ func (f *ChainFuser) compile(g uint64) *fusedPlan {
 		if !ok {
 			break
 		}
-		step, ok := fz.fuseStep()
-		if !ok {
-			break
-		}
+		step := fz.fuseStep()
 		seen[comp] = true
 		hops = append(hops, step)
 		if step.out == nil {
@@ -356,22 +352,15 @@ func (f *ChainFuser) runChunk(e *elementCounters, pl *fusedPlan, chunk []*Packet
 			h++
 		default: // stepProc
 			enters[h] = int32(len(live))
-			// proc and the accumulators stay in registers across the
-			// closure calls: the compiler would otherwise reload the hop
-			// fields and spill accs[h] every iteration, since a closure
-			// call could alias them.
+			// proc stays in a register across the closure calls: the
+			// compiler would otherwise reload the hop field every
+			// iteration, since a closure call could alias it.
 			proc := hp.proc
-			var acc int64
 			i := 0
-			for ; i < len(live); i++ {
-				keep, a := proc(live[i])
-				acc += a
-				if !keep {
-					break
-				}
+			for i < len(live) && proc(live[i]) {
+				i++
 			}
 			if i == len(live) {
-				accs[h] = acc
 				h++
 				continue
 			}
@@ -383,9 +372,7 @@ func (f *ChainFuser) runChunk(e *elementCounters, pl *fusedPlan, chunk []*Packet
 			live[i].Release()
 			kept := live[:i]
 			for j := i + 1; j < len(live); j++ {
-				keep, a := proc(live[j])
-				acc += a
-				if !keep {
+				if !proc(live[j]) {
 					d++
 					live[j].Release()
 					continue
@@ -399,7 +386,6 @@ func (f *ChainFuser) runChunk(e *elementCounters, pl *fusedPlan, chunk []*Packet
 				}
 				kept = append(kept, live[j])
 			}
-			accs[h] = acc
 			drops[h] = d
 			live = kept
 			h++
@@ -457,7 +443,7 @@ func (f *ChainFuser) runChunk(e *elementCounters, pl *fusedPlan, chunk []*Packet
 		if failed > 0 {
 			hp.counters.errs.Add(uint64(failed))
 		}
-		if hp.flush != nil && accs[h] != 0 {
+		if accs[h] != 0 { // stepCount hops only
 			hp.flush(accs[h])
 		}
 	}
@@ -479,11 +465,7 @@ func (f *ChainFuser) runOne(e *elementCounters, pl *fusedPlan, p *Packet) error 
 		case stepDrop:
 			dropAt = h
 		default: // stepProc
-			keep, a := hp.proc(p)
-			if a != 0 && hp.flush != nil {
-				hp.flush(a)
-			}
-			if !keep {
+			if !hp.proc(p) {
 				dropAt = h
 			}
 		}
@@ -558,84 +540,6 @@ func (f *ChainFuser) statList() []core.Stat {
 }
 
 // ---------------------------------------------------------------------------
-// Fusible steps of the standard components
-//
-// Each step's proc mirrors its component's PushBatch keep-closure exactly
-// (same specialised counters, same mutation order); the shared counter
-// block and forwarding are replayed by the runner.
-
-func (c *Counter) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		kind:     stepCount,
-		flush:    func(acc int64) { c.bytes.Add(uint64(acc)) },
-		counters: &c.elementCounters,
-		out:      c.out,
-	}, true
-}
-
-func (h *IPv4Proc) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			if h.validate {
-				if packet.ValidateIPv4Checksum(p.Data) != nil {
-					h.csDrops.Add(1)
-					return false, 0
-				}
-			}
-			if packet.DecrementTTL(p.Data) != nil {
-				h.ttlDrops.Add(1)
-				return false, 0
-			}
-			return true, 0
-		},
-		counters: &h.elementCounters,
-		out:      h.out,
-	}, true
-}
-
-func (h *IPv6Proc) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			if packet.DecrementHopLimit(p.Data) != nil {
-				h.hopDrops.Add(1)
-				return false, 0
-			}
-			return true, 0
-		},
-		counters: &h.elementCounters,
-		out:      h.out,
-	}, true
-}
-
-func (v *ChecksumValidator) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			return packet.Version(p.Data) != 4 || packet.ValidateIPv4Checksum(p.Data) == nil, 0
-		},
-		counters: &v.elementCounters,
-		out:      v.out,
-	}, true
-}
-
-func (s *TokenShaper) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			return s.bucket.Allow(len(p.Data)), 0
-		},
-		counters: &s.elementCounters,
-		out:      s.out,
-	}, true
-}
-
-func (d *Dropper) fuseStep() (fuseStep, bool) {
-	return fuseStep{
-		kind:     stepDrop,
-		counters: &d.elementCounters,
-		out:      nil, // terminal: consumes everything
-	}, true
-}
-
-// ---------------------------------------------------------------------------
 // FastPath: the fused chain as a first-class component
 
 // TypeFastPath is the component type of the fused chain entry point. It is
@@ -690,18 +594,12 @@ func (f *FastPath) Stats() []core.Stat {
 	return append(f.statList(), f.fuse.statList()...)
 }
 
-func (f *FastPath) fuseStep() (fuseStep, bool) {
-	return fuseStep{kind: stepPass, counters: &f.elementCounters, out: f.out}, true
+func (f *FastPath) fuseStep() fuseStep {
+	return fuseStep{kind: stepPass, counters: &f.elementCounters, out: f.out}
 }
 
 var (
 	_ IPacketPushBatch = (*FastPath)(nil)
 	_ core.IStats      = (*FastPath)(nil)
 	_ chainFusible     = (*FastPath)(nil)
-	_ chainFusible     = (*Counter)(nil)
-	_ chainFusible     = (*IPv4Proc)(nil)
-	_ chainFusible     = (*IPv6Proc)(nil)
-	_ chainFusible     = (*ChecksumValidator)(nil)
-	_ chainFusible     = (*TokenShaper)(nil)
-	_ chainFusible     = (*Dropper)(nil)
 )

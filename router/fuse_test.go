@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sync"
 	"testing"
@@ -53,6 +54,23 @@ func mkTTLPacket(t testing.TB, flow, seq uint32, ttl uint8, corrupt bool) *Packe
 	}
 	if corrupt {
 		raw[10] ^= 0xff // break the header checksum
+	}
+	return NewPacket(raw)
+}
+
+// mkHopPacket is the IPv6 counterpart of mkTTLPacket: a UDP/IPv6 packet
+// of flow `flow` carrying `seq`, with the given hop limit — the lever that
+// makes IPv6Proc drop deterministically.
+func mkHopPacket(t testing.TB, flow, seq uint32, hop uint8) *Packet {
+	t.Helper()
+	src := netip.AddrFrom16([16]byte{0xfd, 0, 14: byte(flow >> 8), 15: byte(flow)})
+	dst := netip.AddrFrom16([16]byte{0xfd, 1, 14: byte(flow >> 8), 15: byte(flow)})
+	payload := make([]byte, 8)
+	binary.BigEndian.PutUint32(payload[0:], flow)
+	binary.BigEndian.PutUint32(payload[4:], seq)
+	raw, err := packet.BuildUDP6(src, dst, uint16(1000+flow%100), 53, hop, payload)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return NewPacket(raw)
 }
@@ -259,21 +277,26 @@ func TestFusedTerminalChain(t *testing.T) {
 }
 
 // FuzzFusedEquivalence is the fusion correctness contract as a fuzz
-// property: for ANY chain drawn from the fusible palette, ANY packet
-// stream (mixed TTLs, corrupted checksums), ANY batch segmentation, and
-// both entry paths (Push and PushBatch), the fused chain and an identical
-// unfused chain deliver the same packets in the same per-flow order and
-// finish with identical counters on every hop — shared and specialised.
+// property: for ANY chain drawn from the fusible palette (every
+// stage-based element, with an optional terminal Dropper), ANY packet
+// stream (IPv4 and IPv6, mixed TTLs and hop limits, corrupted checksums),
+// ANY batch segmentation, and both entry paths (Push and PushBatch), the
+// fused chain and an identical unfused chain deliver the same packets in
+// the same per-flow order and finish with identical counters on every
+// hop — shared and specialised.
 func FuzzFusedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(7), []byte{4, 9, 2}, false)
 	f.Add(uint64(99), uint8(0), uint8(0), []byte{1}, true)
 	f.Add(uint64(7), uint8(5), uint8(255), []byte{32, 32}, false)
+	f.Add(uint64(5), uint8(0x83), uint8(4), []byte{3, 17}, false)
+	f.Add(uint64(12), uint8(0x84), uint8(0), []byte{8}, true)
 	f.Fuzz(func(t *testing.T, seed uint64, shape, mix uint8, splits []byte, perPacket bool) {
 		if seed == 0 {
 			seed = 1
 		}
 		rng := xorshift(seed)
 		hops := 2 + int(shape%5)
+		terminal := shape&0x80 != 0 // the chain ends in a Dropper
 
 		// Two identical chains from the fusible palette. The shaper gets a
 		// frozen clock so its byte budget — and therefore its drop pattern
@@ -284,13 +307,19 @@ func FuzzFusedEquivalence(f *testing.F) {
 			r := xorshift(seed) // same draw sequence for both chains
 			comps := make([]core.Component, hops)
 			for i := range comps {
-				switch r.next() % 4 {
+				if terminal && i == hops-1 {
+					comps[i] = NewDropper()
+					continue
+				}
+				switch r.next() % 5 {
 				case 0:
 					comps[i] = NewCounter()
 				case 1:
 					comps[i] = NewIPv4Proc(r.next()%2 == 0)
 				case 2:
 					comps[i] = NewChecksumValidator()
+				case 3:
+					comps[i] = NewIPv6Proc()
 				default:
 					sh, err := NewTokenShaper(1e-6, 256+float64(r.next()%8192), clock)
 					if err != nil {
@@ -302,15 +331,16 @@ func FuzzFusedEquivalence(f *testing.F) {
 			return comps
 		}
 
-		// The stream: per-flow sequenced packets with fuzz-chosen TTLs and
-		// occasional checksum corruption, so drops happen at different
-		// depths.
+		// The stream: per-flow sequenced packets, a quarter of them IPv6,
+		// with fuzz-chosen TTLs / hop limits and occasional checksum
+		// corruption, so drops happen at different depths.
 		flows := 1 + int(rng.next()%8)
 		const total = 160
 		type unit struct {
 			flow, seq uint32
 			ttl       uint8
 			corrupt   bool
+			v6        bool
 		}
 		stream := make([]unit, total)
 		seqs := make([]uint32, flows)
@@ -324,13 +354,24 @@ func FuzzFusedEquivalence(f *testing.F) {
 				ttl = 2
 			}
 			corrupt := mix != 0 && rng.next()%uint64(mix)+1 == 1
-			stream[i] = unit{fl, seqs[fl], ttl, corrupt}
+			v6 := rng.next()%4 == 0
+			stream[i] = unit{fl, seqs[fl], ttl, corrupt && !v6, v6}
 			seqs[fl]++
+		}
+		mkPacket := func(u unit) *Packet {
+			if u.v6 {
+				return mkHopPacket(t, u.flow, u.seq, u.ttl)
+			}
+			return mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt)
 		}
 
 		fusedComps := mkChain()
 		fusedSink := newRecordingSink()
-		_, fp := buildFusedChain(t, fusedComps, fusedSink)
+		var fusedTail core.Component = fusedSink
+		if terminal {
+			fusedTail = nil
+		}
+		_, fp := buildFusedChain(t, fusedComps, fusedTail)
 
 		refComps := mkChain()
 		refSink := newRecordingSink()
@@ -348,11 +389,13 @@ func FuzzFusedEquivalence(f *testing.F) {
 			}
 			prev = name
 		}
-		if err := refCapsule.Insert("sink", refSink); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ConnectPush(refCapsule, prev, "out", "sink"); err != nil {
-			t.Fatal(err)
+		if !terminal {
+			if err := refCapsule.Insert("sink", refSink); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ConnectPush(refCapsule, prev, "out", "sink"); err != nil {
+				t.Fatal(err)
+			}
 		}
 		refHead := refComps[0].(IPacketPush)
 
@@ -368,7 +411,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 			return n
 		}
 		push := func(dst IPacketPush, u unit) {
-			if err := dst.Push(mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt)); err != nil {
+			if err := dst.Push(mkPacket(u)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,7 +425,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 				var batch []*Packet
 				lim := limit()
 				for _, u := range stream {
-					batch = append(batch, mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt))
+					batch = append(batch, mkPacket(u))
 					if len(batch) >= lim {
 						if err := ForwardBatch(dst, batch); err != nil {
 							t.Fatal(err)

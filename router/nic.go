@@ -324,18 +324,10 @@ func NewNICSink(dev osabs.Device) (*NICSink, error) {
 // Device returns the wrapped device.
 func (s *NICSink) Device() osabs.Device { return s.dev }
 
-// Push implements IPacketPush.
+// Push implements IPacketPush as a batch of one.
 func (s *NICSink) Push(p *Packet) error {
-	s.in.Add(1)
-	one := [][]byte{p.Data}
-	sent, _ := s.dev.SendBatch(one)
-	p.Release()
-	if sent == 1 {
-		s.out.Add(1)
-	} else {
-		s.dropped.Add(1)
-	}
-	return nil
+	one := [1]*Packet{p}
+	return s.PushBatch(one[:])
 }
 
 // PushBatch implements IPacketPushBatch: the whole batch's frames are

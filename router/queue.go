@@ -37,28 +37,17 @@ func NewFIFOQueue(capacity int) (*FIFOQueue, error) {
 	return q, nil
 }
 
-// Push implements IPacketPush (drop-tail on overflow; the drop is counted
-// and absorbed, not propagated, so upstream elements keep forwarding).
+// Push implements IPacketPush as a batch of one.
 func (q *FIFOQueue) Push(p *Packet) error {
-	q.in.Add(1)
-	q.mu.Lock()
-	if q.size == len(q.ring) {
-		q.mu.Unlock()
-		q.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	q.ring[(q.head+q.size)%len(q.ring)] = p
-	q.size++
-	q.mu.Unlock()
-	return nil
+	one := [1]*Packet{p}
+	return q.PushBatch(one[:])
 }
 
 // PushBatch implements IPacketPushBatch: the whole batch is admitted under
 // one lock acquisition. Packets beyond the remaining capacity are dropped
-// (drop-tail, exactly as the per-packet path would have dropped them). The
-// packet pointers are copied into the ring — the batch slice itself is not
-// retained.
+// (drop-tail; the drop is counted and absorbed, not propagated, so
+// upstream elements keep forwarding). The packet pointers are copied into
+// the ring — the batch slice itself is not retained.
 func (q *FIFOQueue) PushBatch(batch []*Packet) error {
 	q.in.Add(uint64(len(batch)))
 	q.mu.Lock()
@@ -256,32 +245,24 @@ func (q *REDQueue) admitLocked(p *Packet) (drop, forced bool) {
 	return drop, forced
 }
 
-// Push implements IPacketPush with RED admission.
+// Push implements IPacketPush as a batch of one.
 func (q *REDQueue) Push(p *Packet) error {
-	q.in.Add(1)
-	q.mu.Lock()
-	drop, forced := q.admitLocked(p)
-	q.mu.Unlock()
-	if drop {
-		if forced {
-			q.forcedDrops.Add(1)
-		} else {
-			q.earlyDrops.Add(1)
-		}
-		q.dropped.Add(1)
-		p.Release()
-	}
-	return nil
+	one := [1]*Packet{p}
+	return q.PushBatch(one[:])
 }
 
+// redDropStack sizes the stack buffer REDQueue.PushBatch collects drops
+// in; only a batch with more drops than this spills to the heap.
+const redDropStack = 32
+
 // PushBatch implements IPacketPushBatch: the RED decision stays strictly
-// per-packet (the EWMA evolves arrival by arrival, so admission behaviour
-// is identical to the per-packet path), but the whole batch is admitted
-// under one lock acquisition. Dropped packets are released outside the
-// lock.
+// per-packet (the EWMA evolves arrival by arrival), but the whole batch is
+// admitted under one lock acquisition. Dropped packets are released
+// outside the lock.
 func (q *REDQueue) PushBatch(batch []*Packet) error {
 	q.in.Add(uint64(len(batch)))
-	var drops []*Packet
+	var dropBuf [redDropStack]*Packet
+	drops := dropBuf[:0]
 	var early, forcedN uint64
 	q.mu.Lock()
 	for _, p := range batch {

@@ -228,6 +228,34 @@ func TestTeeRefcountsPooledBuffers(t *testing.T) {
 	}
 }
 
+// TestTeeErrorAccounting pins per-delivery error accounting: each failing
+// output costs one errs, never an out, and the first error is returned.
+func TestTeeErrorAccounting(t *testing.T) {
+	c := newCap()
+	tee, err := NewTee(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, e2 := newErrBatchTarget(errFlaky), newErrBatchTarget(errFlaky)
+	for name, comp := range map[string]core.Component{"tee": tee, "e1": e1, "e2": e2} {
+		if err := c.Insert(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ConnectPush(c, "tee", "out0", "e1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConnectPush(c, "tee", "out1", "e2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tee.Push(udpPkt(t, 1, 64)); !errors.Is(err, errFlaky) {
+		t.Fatalf("tee returned %v, want %v", err, errFlaky)
+	}
+	if st := tee.ElemStats(); st != (ElementStats{In: 1, Out: 0, Errors: 2}) {
+		t.Fatalf("tee stats = %+v, want {In:1 Out:0 Errors:2}", st)
+	}
+}
+
 func TestTeeValidation(t *testing.T) {
 	if _, err := NewTee(0); err == nil {
 		t.Fatal("want error")

@@ -14,46 +14,24 @@ import (
 // function class). Non-conforming packets are dropped and counted; pair
 // the shaper with an upstream queue for shaping rather than policing.
 type TokenShaper struct {
-	*core.Base
-	elementCounters
+	stage
 	bucket *resources.TokenBucket
-	out    *core.Receptacle[IPacketPush]
 }
 
 // NewTokenShaper creates a shaper with rate bytes/sec and burst bytes. A
-// nil clock uses wall time.
+// nil clock uses wall time. Conformance is decided per packet (token
+// buckets meter bytes); conforming runs leave as sub-batches, so under no
+// congestion a whole batch departs in one push.
 func NewTokenShaper(rate, burst float64, clock func() time.Time) (*TokenShaper, error) {
 	bucket, err := resources.NewTokenBucket(rate, burst, clock)
 	if err != nil {
 		return nil, fmt.Errorf("router: shaper: %w", err)
 	}
-	s := &TokenShaper{Base: core.NewBase(TypeTokenShaper), bucket: bucket}
-	s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	s.AddReceptacle("out", s.out)
-	s.Provide(IPacketPushID, s)
+	s := &TokenShaper{bucket: bucket}
+	s.init(TypeTokenShaper, s, fuseStep{proc: func(p *Packet) bool {
+		return bucket.Allow(len(p.Data))
+	}})
 	return s, nil
-}
-
-// Push implements IPacketPush.
-func (s *TokenShaper) Push(p *Packet) error {
-	s.in.Add(1)
-	if !s.bucket.Allow(len(p.Data)) {
-		s.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return s.forward(s.out, p)
-}
-
-// PushBatch implements IPacketPushBatch: conformance stays per-packet
-// (token buckets meter bytes), but conforming runs leave as sub-batches so
-// the downstream hand-off is amortised. Under no congestion the whole
-// batch departs in one push.
-func (s *TokenShaper) PushBatch(batch []*Packet) error {
-	s.in.Add(uint64(len(batch)))
-	return s.forwardRuns(s.out, batch, func(p *Packet) bool {
-		return s.bucket.Allow(len(p.Data))
-	})
 }
 
 // Stats implements core.IStats, adding the bucket's decision counters and

@@ -34,9 +34,13 @@ func mkFlowPacket(t testing.TB, flow, seq uint32) *Packet {
 	return NewPacket(raw)
 }
 
-// flowSeq decodes what mkFlowPacket encoded.
+// flowSeq decodes what mkFlowPacket (or, for IPv6, mkHopPacket) encoded.
 func flowSeq(p *Packet) (flow, seq uint32) {
-	payload := p.Data[packet.IPv4HeaderLen+packet.UDPHeaderLen:]
+	hdr := packet.IPv4HeaderLen
+	if packet.Version(p.Data) == 6 {
+		hdr = packet.IPv6HeaderLen
+	}
+	payload := p.Data[hdr+packet.UDPHeaderLen:]
 	return binary.BigEndian.Uint32(payload[0:]), binary.BigEndian.Uint32(payload[4:])
 }
 
