@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -141,9 +142,25 @@ func ValidateIPv4Checksum(b []byte) error {
 	if len(b) < IPv4HeaderLen {
 		return fmt.Errorf("ipv4: checksum: %w", ErrTruncated)
 	}
-	ihl := int(b[0]&0x0f) * 4
+	// IHL comes out of the first header word, not a separate byte load:
+	// the compiler would reuse that byte and assemble the word from eight
+	// byte loads instead of one 64-bit load.
+	le := binary.LittleEndian
+	w0 := le.Uint64(b)
+	ihl := int(w0&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(b) < ihl {
 		return fmt.Errorf("ipv4: checksum ihl %d: %w", ihl, ErrHeaderLength)
+	}
+	if ihl == IPv4HeaderLen {
+		// The common option-free header: two 64-bit words and one 32-bit
+		// word into one accumulator, no loop. A valid header sums to
+		// 0xffff in either byte order, so the sum needs no swap.
+		s, c := bits.Add64(w0, le.Uint64(b[8:16]), 0)
+		s, c = bits.Add64(s, uint64(le.Uint32(b[16:20])), c)
+		if fold(s+c) != 0xffff {
+			return ErrChecksum
+		}
+		return nil
 	}
 	if Checksum(b[:ihl]) != 0 {
 		return ErrChecksum
@@ -152,7 +169,7 @@ func ValidateIPv4Checksum(b []byte) error {
 }
 
 // DecrementTTL decrements the TTL in place and incrementally updates the
-// checksum per RFC 1141. It returns ErrTTLExpired if the TTL is already 0
+// checksum per RFC 1624. It returns ErrTTLExpired if the TTL is already 0
 // or reaches 0 (the caller decides whether 0-after-decrement forwards).
 func DecrementTTL(b []byte) error {
 	if len(b) < IPv4HeaderLen {
@@ -162,12 +179,13 @@ func DecrementTTL(b []byte) error {
 		return ErrTTLExpired
 	}
 	b[8]--
-	// RFC 1141 incremental update: checksum += 0x0100 (TTL is the high byte
-	// of the 16-bit word at offset 8), with end-around carry.
+	// RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'): TTL is the high byte of the
+	// 16-bit word m at offset 8, so ~m + m' = 0xfeff. RFC 1141's HC + 0x0100
+	// turns HC = 0xfeff into 0xffff where a full recompute gives 0x0000.
 	cs := binary.BigEndian.Uint16(b[10:12])
-	sum := uint32(cs) + 0x0100
+	sum := uint32(^cs) + 0xfeff
 	sum = (sum & 0xffff) + (sum >> 16)
-	binary.BigEndian.PutUint16(b[10:12], uint16(sum))
+	binary.BigEndian.PutUint16(b[10:12], ^uint16(sum))
 	if b[8] == 0 {
 		return ErrTTLExpired
 	}
@@ -350,19 +368,55 @@ func (h TCP) Marshal(b []byte) error {
 // Checksum
 
 // Checksum computes the RFC 1071 Internet checksum of b.
+//
+// The one's complement sum does not depend on byte order (RFC 1071 §2(B)),
+// so it is taken over native little-endian 64-bit words with the carries
+// chained, 32 bytes per iteration, folded to 16 bits and byte-swapped once
+// at the end. The result is bit-identical to summing big-endian 16-bit
+// words.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
+	le := binary.LittleEndian
+	var s, c uint64
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, le.Uint64(b[0:8]), c)
+		s, c = bits.Add64(s, le.Uint64(b[8:16]), c)
+		s, c = bits.Add64(s, le.Uint64(b[16:24]), c)
+		s, c = bits.Add64(s, le.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, le.Uint64(b), c)
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		s, c = bits.Add64(s, uint64(le.Uint32(b)), c)
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		s, c = bits.Add64(s, uint64(le.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		// A trailing odd byte pads to a 16-bit word whose high byte it is
+		// in network order: the low byte in this little-endian sum.
+		s, c = bits.Add64(s, uint64(b[0]), c)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	// End-around carry: if this add carries, s wrapped to 0 and c is 1.
+	s, c = bits.Add64(s, 0, c)
+	return ^bits.ReverseBytes16(fold(s + c))
+}
+
+// fold reduces a 64-bit one's complement sum to 16 bits. Each step adds
+// the value to itself rotated by half its width, which leaves the
+// end-around-carry sum of the two halves in the upper half. Folding
+// preserves the value modulo 0xffff and never turns a nonzero sum into 0,
+// so the result is 0 only for an all-zero input, as with a 16-bit
+// accumulator.
+func fold(s uint64) uint16 {
+	s += bits.RotateLeft64(s, 32)
+	w := uint32(s >> 32)
+	w += bits.RotateLeft32(w, 16)
+	return uint16(w >> 16)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 package packet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -374,5 +378,216 @@ func TestQuickTTLChecksumPreserved(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChecksum is the RFC 1071 definition, one big-endian 16-bit word at a
+// time: the reference the word-at-a-time kernel must match bit for bit.
+func refChecksum(b []byte) uint16 {
+	var sum uint32
+	for len(b) >= 2 {
+		sum += uint32(b[0])<<8 | uint32(b[1])
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + (sum >> 16)
+	}
+	return ^uint16(sum)
+}
+
+// refValidate is ValidateIPv4Checksum's contract built on refChecksum.
+func refValidate(b []byte) error {
+	if len(b) < IPv4HeaderLen {
+		return ErrTruncated
+	}
+	ihl := int(b[0]&0x0f) * 4
+	if ihl < IPv4HeaderLen || len(b) < ihl {
+		return ErrHeaderLength
+	}
+	if refChecksum(b[:ihl]) != 0 {
+		return ErrChecksum
+	}
+	return nil
+}
+
+// sameSentinel reports whether got and want wrap the same sentinel (or are
+// both nil).
+func sameSentinel(got, want error) bool {
+	if want == nil {
+		return got == nil
+	}
+	return errors.Is(got, want)
+}
+
+// checkKernels asserts the checksum kernels against the byte-wise
+// reference on b: Checksum itself, ValidateIPv4Checksum for every IHL on
+// b as given and with its checksum field made valid, and DecrementTTL's
+// incremental update against a full recompute.
+func checkKernels(t *testing.T, b []byte) {
+	t.Helper()
+	if got, want := Checksum(b), refChecksum(b); got != want {
+		t.Fatalf("Checksum(len %d) = %#04x, reference %#04x", len(b), got, want)
+	}
+	if len(b) == 0 {
+		return
+	}
+	h := bytes.Clone(b)
+	for ihl := 0; ihl < 16; ihl++ {
+		h[0] = h[0]&0xf0 | byte(ihl)
+		if got, want := ValidateIPv4Checksum(h), refValidate(h); !sameSentinel(got, want) {
+			t.Fatalf("ihl %d len %d: ValidateIPv4Checksum = %v, reference %v", ihl, len(h), got, want)
+		}
+		if ihl*4 < IPv4HeaderLen || len(h) < ihl*4 {
+			continue
+		}
+		hdr := h[:ihl*4]
+		binary.BigEndian.PutUint16(hdr[10:12], 0)
+		binary.BigEndian.PutUint16(hdr[10:12], refChecksum(hdr))
+		if err := ValidateIPv4Checksum(h); err != nil {
+			t.Fatalf("ihl %d: valid header rejected: %v", ihl, err)
+		}
+		if hdr[8] == 0 {
+			continue
+		}
+		_ = DecrementTTL(hdr)
+		got := binary.BigEndian.Uint16(hdr[10:12])
+		binary.BigEndian.PutUint16(hdr[10:12], 0)
+		if want := refChecksum(hdr); got != want {
+			t.Fatalf("ihl %d ttl %d: DecrementTTL checksum %#04x, recompute %#04x", ihl, hdr[8], got, want)
+		}
+		binary.BigEndian.PutUint16(hdr[10:12], got)
+	}
+}
+
+// TestChecksumMatchesReference sweeps every length up to 1,600 bytes at
+// every start offset modulo 8, over random, all-0xff and all-zero bytes.
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 1608)
+	fills := map[string]func(){
+		"random": func() { rng.Read(buf) },
+		"ones":   func() { copy(buf, bytes.Repeat([]byte{0xff}, len(buf))) },
+		"zeros":  func() { clear(buf) },
+	}
+	for name, fill := range fills {
+		fill()
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 1600; n++ {
+				if got, want := Checksum(buf[off:off+n]), refChecksum(buf[off:off+n]); got != want {
+					t.Fatalf("%s off %d len %d: %#04x, reference %#04x", name, off, n, got, want)
+				}
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(80))
+		rng.Read(b)
+		checkKernels(t, b)
+	}
+}
+
+// FuzzChecksum pins the word-at-a-time kernels to the byte-wise
+// reference on arbitrary bytes at an arbitrary start offset, so unaligned
+// slices and odd lengths are covered.
+func FuzzChecksum(f *testing.F) {
+	udp, err := BuildUDP4(srcA, dstA, 1, 2, 64, []byte("payload"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(udp, uint(0))
+	f.Add(udp, uint(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 61), uint(1))
+	f.Add(make([]byte, 64), uint(0))
+	f.Add([]byte{0x4f, 1, 2}, uint(0))
+	f.Fuzz(func(t *testing.T, data []byte, off uint) {
+		off %= uint(len(data) + 1)
+		checkKernels(t, data[off:])
+	})
+}
+
+// TestDecrementTTLMatchesRecompute checks that the incremental update
+// writes exactly the checksum Marshal computes for the decremented header,
+// on random headers and on the one checksum (0xfeff) where RFC 1141's
+// update writes 0xffff instead of 0x0000.
+func TestDecrementTTLMatchesRecompute(t *testing.T) {
+	check := func(h IPv4) {
+		t.Helper()
+		b := make([]byte, 60)
+		if err := h.Marshal(b); err != nil {
+			t.Fatal(err)
+		}
+		_ = DecrementTTL(b)
+		h.TTL--
+		want := make([]byte, 60)
+		if err := h.Marshal(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := binary.BigEndian.Uint16(b[10:12]), binary.BigEndian.Uint16(want[10:12]); got != exp {
+			t.Fatalf("%+v: checksum %#04x after DecrementTTL, recompute %#04x", h, got, exp)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	addr := func() netip.Addr {
+		var a [4]byte
+		rng.Read(a[:])
+		return netip.AddrFrom4(a)
+	}
+	for i := 0; i < 20000; i++ {
+		check(IPv4{
+			IHL: IPv4HeaderLen + 4*rng.Intn(11), TOS: uint8(rng.Intn(256)),
+			TotalLen: rng.Intn(1 << 16), ID: uint16(rng.Intn(1 << 16)),
+			Flags: uint8(rng.Intn(8)), FragOff: uint16(rng.Intn(1 << 13)),
+			TTL: uint8(1 + rng.Intn(255)), Protocol: uint8(rng.Intn(256)),
+			Src: addr(), Dst: addr(),
+		})
+	}
+	// Pin HC = 0xfeff: search the ID space for the header that marshals
+	// to it.
+	h := IPv4{TotalLen: 84, TTL: 64, Protocol: ProtoUDP, Src: srcA, Dst: dstA}
+	b := make([]byte, IPv4HeaderLen)
+	for id := 0; id < 1<<16; id++ {
+		h.ID = uint16(id)
+		if err := h.Marshal(b); err != nil {
+			t.Fatal(err)
+		}
+		if binary.BigEndian.Uint16(b[10:12]) == 0xfeff {
+			check(h)
+			return
+		}
+	}
+	t.Fatal("no ID yields checksum 0xfeff")
+}
+
+var csSink uint16
+
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{20, 64, 576, 1500} {
+		buf := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(buf)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				csSink += Checksum(buf)
+			}
+		})
+	}
+}
+
+var errSink error
+
+func BenchmarkValidateIPv4Checksum(b *testing.B) {
+	pkt, err := BuildUDP4(srcA, dstA, 1, 2, 64, make([]byte, 36))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		errSink = ValidateIPv4Checksum(pkt)
+	}
+	if errSink != nil {
+		b.Fatal(errSink)
 	}
 }

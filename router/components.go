@@ -339,7 +339,7 @@ func (r *ProtoRecogn) PushBatch(batch []*Packet) error {
 // IPv4 header processor
 
 // IPv4Proc performs the per-hop IPv4 work: optional checksum validation
-// and TTL decrement (with RFC 1141 incremental checksum update). Expired
+// and TTL decrement (with RFC 1624 incremental checksum update). Expired
 // or malformed packets are dropped and counted.
 type IPv4Proc struct {
 	stage

@@ -33,7 +33,8 @@ type PumpConfig struct {
 	// StampBorn makes the pump stamp each minted packet's Born timestamp
 	// (router.Nanotime), so downstream latency histograms — a sharded
 	// plane's per-lane recorders, an nkload sink — measure from device
-	// ingress. Off by default: the stamp is a clock read per frame.
+	// ingress. Off by default: the stamp is one clock read per polled
+	// batch, shared by every packet in it.
 	StampBorn bool
 }
 
@@ -144,7 +145,8 @@ func (s *NICSource) chanPump(rx <-chan []byte, quit, done chan struct{}) {
 			// drain whatever else the ring already holds (bounded) so a
 			// busy device amortises the pipeline crossing while an idle
 			// one keeps per-frame latency.
-			batch = s.wrap(batch, frame)
+			born := s.stamp()
+			batch = s.wrap(batch, frame, born)
 			for len(batch) < s.cfg.Batch {
 				select {
 				case f, ok := <-rx:
@@ -152,7 +154,7 @@ func (s *NICSource) chanPump(rx <-chan []byte, quit, done chan struct{}) {
 						s.flush(batch)
 						return
 					}
-					batch = s.wrap(batch, f)
+					batch = s.wrap(batch, f, born)
 				default:
 					goto full
 				}
@@ -209,9 +211,10 @@ func (s *NICSource) pollPump(quit, done chan struct{}) {
 		}
 		spun = 0
 		s.in.Add(uint64(len(frames)))
+		born := s.stamp()
 		pkts = pkts[:0]
 		for _, f := range frames {
-			if p := s.mint(f, slab); p != nil {
+			if p := s.mint(f, slab, born); p != nil {
 				pkts = append(pkts, p)
 			}
 		}
@@ -230,12 +233,21 @@ func (s *NICSource) pollPump(quit, done chan struct{}) {
 	}
 }
 
-// mint turns one polled frame into a Packet, or nil for a drop. Arena
-// frames (slab != nil) already hold one slab reference each, so the
-// packet adopts it zero-copy and its Release decrements the slab;
-// otherwise the pool path copies (dropping on pool exhaustion, like
-// wrap) and the nil-pool path wraps without copying.
-func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
+// stamp returns the Born timestamp for one polled batch: a single clock
+// read shared by all its packets, or 0 with StampBorn off.
+func (s *NICSource) stamp() int64 {
+	if s.cfg.StampBorn {
+		return Nanotime()
+	}
+	return 0
+}
+
+// mint turns one polled frame into a Packet born at born, or nil for a
+// drop. Arena frames (slab != nil) already hold one slab reference each,
+// so the packet adopts it zero-copy and its Release decrements the slab;
+// otherwise the pool path copies (dropping on pool exhaustion, like wrap)
+// and the nil-pool path wraps without copying.
+func (s *NICSource) mint(f []byte, slab *buffers.Buffer, born int64) *Packet {
 	var p *Packet
 	switch {
 	case slab != nil:
@@ -251,9 +263,7 @@ func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
 		p = NewPacket(f)
 	}
 	p.InPort = s.dev.Name()
-	if s.cfg.StampBorn {
-		p.Born = Nanotime()
-	}
+	p.Born = born
 	return p
 }
 
@@ -267,8 +277,8 @@ func (s *NICSource) flush(batch []*Packet) []*Packet {
 	return batch[:0]
 }
 
-// wrap turns one frame into a Packet and appends it to batch.
-func (s *NICSource) wrap(batch []*Packet, frame []byte) []*Packet {
+// wrap turns one frame into a Packet born at born and appends it to batch.
+func (s *NICSource) wrap(batch []*Packet, frame []byte, born int64) []*Packet {
 	s.in.Add(1)
 	var p *Packet
 	if s.pool != nil {
@@ -282,9 +292,7 @@ func (s *NICSource) wrap(batch []*Packet, frame []byte) []*Packet {
 		p = NewPacket(frame)
 	}
 	p.InPort = s.dev.Name()
-	if s.cfg.StampBorn {
-		p.Born = Nanotime()
-	}
+	p.Born = born
 	return append(batch, p)
 }
 

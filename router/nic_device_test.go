@@ -271,3 +271,46 @@ func TestNICSinkBatchesDeviceSend(t *testing.T) {
 		}
 	}
 }
+
+// TestNICSourceStampsBornPerBatch pre-fills a simulated NIC so both pumps
+// receive every frame in one batch: the polling pump (Spin > 0) in one
+// RecvBatchInto, the channel pump in one drained burst. With StampBorn
+// all packets of the batch share one nonzero Born; without it Born stays 0.
+func TestNICSourceStampsBornPerBatch(t *testing.T) {
+	const frames = 16
+	for _, tc := range []struct {
+		name  string
+		spin  int
+		stamp bool
+	}{
+		{"poll/stamp", 1, true},
+		{"poll/off", 1, false},
+		{"chan/stamp", 0, true},
+		{"chan/off", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nic, err := osabs.NewNIC("eth-born", frames, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < frames; i++ {
+				if err := nic.Inject([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, _ := devRig(t, nic, nil, PumpConfig{Batch: frames, Spin: tc.spin, StampBorn: tc.stamp})
+			waitCount(t, out, frames)
+			out.mu.Lock()
+			defer out.mu.Unlock()
+			born := out.pkts[0].Born
+			if tc.stamp != (born != 0) {
+				t.Fatalf("StampBorn %v: Born = %d", tc.stamp, born)
+			}
+			for i, p := range out.pkts {
+				if p.Born != born {
+					t.Fatalf("packet %d: Born %d, packet 0: %d", i, p.Born, born)
+				}
+			}
+		})
+	}
+}

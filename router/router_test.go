@@ -2,7 +2,9 @@ package router
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -532,6 +534,46 @@ func TestClassifierUnregister(t *testing.T) {
 	}
 	if sa.count() != 1 || sdef.count() != 1 {
 		t.Fatalf("a=%d def=%d", sa.count(), sdef.count())
+	}
+}
+
+// TestClassifierStatsAllocsFlat pins that a stats read costs the same
+// allocations and bytes whatever the rule count: the filter gauge reads
+// the table's length, not a copy of its rules (one allocation either way,
+// so only the byte count shows the copy).
+func TestClassifierStatsAllocsFlat(t *testing.T) {
+	cost := func(rules int) (allocs, bytes float64) {
+		cls, err := NewClassifier("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rules; i++ {
+			if _, err := cls.RegisterFilter(fmt.Sprintf("udp and dst port %d", 1000+i), 1, "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range cls.Stats() {
+			if s.Name == "classifier_filters" && s.Value != float64(rules) {
+				t.Fatalf("classifier_filters = %v, want %d", s.Value, rules)
+			}
+		}
+		allocs = testing.AllocsPerRun(50, func() { _ = cls.Stats() })
+		const reads = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reads; i++ {
+			_ = cls.Stats()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / reads
+	}
+	oneAllocs, oneBytes := cost(1)
+	manyAllocs, manyBytes := cost(1000)
+	if manyAllocs > oneAllocs {
+		t.Errorf("Stats allocates %v times with 1000 rules, %v with 1", manyAllocs, oneAllocs)
+	}
+	if manyBytes > oneBytes+1024 {
+		t.Errorf("Stats allocates %.0f B with 1000 rules, %.0f B with 1", manyBytes, oneBytes)
 	}
 }
 
